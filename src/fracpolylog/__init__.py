@@ -1,13 +1,16 @@
 """Fractional polylogarithm Li_alpha on the universal cover of C minus {0, 1}.
 
-Evaluation through five independent representations (power series, two
-integral forms, the bilateral branch-term sum, and a zeta-coefficient
-expansion), the exact monodromy action of the loop group on branches,
-and a cross-checking validation suite.
+Evaluation through six representations (power series, two integral
+forms, the bilateral branch-term sum, a zeta-coefficient expansion, and
+Jonquiere's relation to two Hurwitz zeta values), the exact monodromy
+action of the loop group on branches, and a cross-checking validation
+suite.
 
 >>> from fracpolylog import Order, eval_auto
 >>> eval_auto(Order.of(0.5), 0.25).value  # doctest: +ELLIPSIS
-(0.2945437...+0j)
+(0.3057349...+0j)
+>>> eval_auto(Order.of(0.5), -3.0).method
+'Jonquiere'
 """
 
 from .domain import (
@@ -30,7 +33,9 @@ from .evaluators import (
     asymptotic_leading,
     eval_appell,
     eval_auto,
+    eval_auto_many,
     eval_hankel,
+    eval_jonquiere,
     eval_mittag_leffler,
     eval_negint_closed,
     eval_on_cut,
@@ -38,7 +43,16 @@ from .evaluators import (
     eval_zeta_series,
     hankel_contour_integral,
 )
-from .kernel import EPS_INT, Order, c_alpha, gamma, principal_log, principal_pow, riemann_zeta
+from .kernel import (
+    EPS_INT,
+    Order,
+    c_alpha,
+    gamma,
+    hurwitz_zeta,
+    principal_log,
+    principal_pow,
+    riemann_zeta,
+)
 from .monodromy import (
     EquivarianceReport,
     apply_generator,
@@ -80,8 +94,10 @@ __all__ = [
     "crosscheck_point",
     "eval_appell",
     "eval_auto",
+    "eval_auto_many",
     "eval_cover",
     "eval_hankel",
+    "eval_jonquiere",
     "eval_mittag_leffler",
     "eval_negint_closed",
     "eval_on_cut",
@@ -90,6 +106,7 @@ __all__ = [
     "format_word",
     "gamma",
     "hankel_contour_integral",
+    "hurwitz_zeta",
     "ladder_check",
     "log_pos_cut",
     "m_alpha_k",

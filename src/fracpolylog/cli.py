@@ -19,12 +19,14 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .domain import CoverPoint, format_word, parse_word, reduce_word, m_alpha_k
-from .errors import ConvergenceError, DomainError, UnsupportedError
+from .errors import ConvergenceError, DomainError, FracpolylogError, UnsupportedError
 from .evaluators import (
     ToleranceConfig,
     eval_appell,
     eval_auto,
+    eval_auto_many,
     eval_hankel,
+    eval_jonquiere,
     eval_mittag_leffler,
     eval_negint_closed,
     eval_on_cut,
@@ -231,6 +233,7 @@ _METHOD_MAP = {
     "series": eval_series,
     "appell": eval_appell,
     "hankel": eval_hankel,
+    "jonquiere": eval_jonquiere,
     "ml": eval_mittag_leffler,
     "mittagleffler": eval_mittag_leffler,
     "zeta": "zeta",
@@ -349,13 +352,13 @@ def cmd_table(args: argparse.Namespace, cfg: CliConfig) -> int:
 
     rows: list[tuple] = []
     for im in im_grid:
-        for re in re_grid:
-            z = complex(re, im)
-            try:
-                result = eval_auto(a, z, tol)
+        # one grid row per call: its Jonquiere points share a kernel call
+        results = eval_auto_many(a, [complex(re, im) for re in re_grid], tol)
+        for re, result in zip(re_grid, results):
+            if isinstance(result, FracpolylogError):
+                rows.append((re, im, None, None, _skip_reason(result)))
+            else:
                 rows.append((re, im, result.value, result.err_estimate, result.method))
-            except (DomainError, UnsupportedError, ConvergenceError) as exc:
-                rows.append((re, im, None, None, _skip_reason(exc)))
 
     if cfg.format_or("csv") == "json":
         for re, im, value, err, method in rows:

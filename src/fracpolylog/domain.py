@@ -44,6 +44,8 @@ _METHODS = frozenset(
         "MittagLeffler",
         "ZetaSeries",
         "NegIntClosed",
+        "Jonquiere",
+        "LogClosed",
         "CoverTransport",
     }
 )

@@ -1,6 +1,6 @@
 """Evaluation backends for Li_alpha and the dispatch policy tying them together.
 
-Five independent representations, each with its own region of validity:
+Six representations, each with its own region of validity:
 
 * `eval_series`: the defining power series, |z| < 1.
 * `eval_appell`: the real-axis integral z/(e^q - z) weighted by q^(alpha-1),
@@ -12,11 +12,16 @@ Five independent representations, each with its own region of validity:
   Re alpha < 0.
 * `eval_zeta_series`: the expansion of Li_alpha(e^w) in powers of w with
   zeta-value coefficients, Re alpha < 0, Re w < 0, |w| < 2 pi.
+* `eval_jonquiere`: the same bilateral sum split at k = 0 and continued in
+  alpha, i.e. two Hurwitz zeta values (Jonquiere's relation); any
+  non-integer alpha with Re alpha < 28, z off the cut or a side limit on
+  it, no quadrature.
 
-plus the rational closed forms at nonpositive integer order.  Every backend
-returns an `EvalResult` whose err_estimate bounds the truncation error of
-the returned value; estimates are computed from a priori tail bounds plus
-measured quadrature differences, never tuned to match a comparison value.
+plus the closed forms at nonpositive integer order and at alpha = 1.
+Every backend returns an `EvalResult` whose err_estimate bounds the
+error of the returned value; estimates are computed from a priori tail
+bounds, rounding floors and measured quadrature differences, never tuned
+to match a comparison value.
 """
 
 from __future__ import annotations
@@ -28,16 +33,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import EPS_CUT, EvalResult, log_pos_cut
-from .errors import ConvergenceError, DomainError, UnsupportedError
+from .errors import ConvergenceError, DomainError, FracpolylogError, UnsupportedError
 from .kernel import (
     EPS_INT,
     TWO_PI,
     Order,
+    _hurwitz_cutoff,
     c_alpha,
     gamma,
+    gamma_error,
+    hurwitz_zeta,
     principal_log,
     principal_pow,
     riemann_zeta,
+    rounding_floor,
 )
 from .kernel import ZETA_MAX_ABS
 from .quadrature import integrate_adaptive, tanh_sinh
@@ -78,6 +87,9 @@ class ToleranceConfig:
 
 
 DEFAULT_CONFIG = ToleranceConfig()
+
+
+ON_CUT_MESSAGE = "on branch cut [1,inf); use jump or --side"
 
 
 def _near_cut(z: complex) -> bool:
@@ -131,15 +143,18 @@ def eval_series(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> 
     bound = _series_tail(abs_z, alpha.real, n_terms)
 
     log_z = principal_log(z)
+    abs_log_z, abs_alpha = abs(log_z), abs(alpha)
     total = 0.0 + 0.0j
-    mass = 0.0
+    floor = 0.0
     chunk = 65536
     for start in range(1, n_terms + 1, chunk):
         n = np.arange(start, min(start + chunk, n_terms + 1), dtype=float)
-        terms = np.exp(n * log_z - alpha * np.log(n))
+        log_n = np.log(n)
+        terms = np.exp(n * log_z - alpha * log_n)
         total += complex(np.sum(terms))
-        mass += float(np.sum(np.abs(terms)))
-    err = bound + 8.0 * _EPS * mass
+        # |n log z - alpha log n| <= n |log z| + |alpha| log n
+        floor += float(rounding_floor(np.abs(terms), n * abs_log_z + abs_alpha * log_n))
+    err = bound + floor
     return EvalResult(value=total, err_estimate=err, method="Series")
 
 
@@ -463,7 +478,16 @@ def eval_zeta_series(a: Order, w: complex, cfg: ToleranceConfig = DEFAULT_CONFIG
             return math.inf
         return scale * (n + 2.0 + growth) ** growth * ratio ** (n + 1) / (1.0 - ratio_eff)
 
-    total = c_alpha(a) * cmath.exp((alpha - 1.0) * log_pos_cut(w))
+    log_w = log_pos_cut(w)
+    singular = c_alpha(a) * cmath.exp((alpha - 1.0) * log_w)
+    total = singular
+    # next to z = 1 the singular term dwarfs the rest; its floor is that
+    # of C_alpha and of exp at an exponent of size |alpha - 1| |log w|
+    floor = abs(singular) * (
+        gamma_error(1.0 - alpha, a.integer_distance)
+        + _EPS * (8.0 + abs(alpha - 1.0) * abs(log_w))
+    )
+    mass = 0.0
     w_pow = 1.0 + 0.0j  # w^n / n!
     n = 0
     while True:
@@ -472,7 +496,9 @@ def eval_zeta_series(a: Order, w: complex, cfg: ToleranceConfig = DEFAULT_CONFIG
             raise DomainError(
                 f"zeta coefficient argument {s} exceeds the kernel range before convergence"
             )
-        total += riemann_zeta(s) * w_pow
+        term = riemann_zeta(s) * w_pow
+        total += term
+        mass += abs(term)
         if n >= 2 and tail_bound(n) <= tol:
             break
         n += 1
@@ -482,8 +508,151 @@ def eval_zeta_series(a: Order, w: complex, cfg: ToleranceConfig = DEFAULT_CONFIG
                 "expansion did not converge within 200 terms", achieved=tail_bound(n - 1)
             )
 
-    err = tail_bound(n) + 16.0 * _EPS * abs(total)
+    # each zeta value carries Gamma's relative error (|s| <= |alpha| + n)
+    err = tail_bound(n) + 16.0 * _EPS * (abs(total) + (1.0 + abs(alpha) + n) * mass) + floor
     return EvalResult(value=total, err_estimate=err, method="ZetaSeries")
+
+
+# ---------------------------------------------------------------------------
+# Jonquiere's relation: two Hurwitz zeta values
+
+
+_LOG_TWO_PI = math.log(TWO_PI)
+_LOG_5 = math.log(5.0)
+# the Hurwitz kernel's remainder bound needs Re(1 - alpha) > -29
+_JONQUIERE_MAX_RE = 28.0
+
+
+def _jonquiere(a: Order, log_z: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Li_alpha = Gamma(1-alpha) (2 pi)^(alpha-1) [i^(1-alpha) zeta(1-alpha, h)
+    + i^(alpha-1) zeta(1-alpha, 1-h)] at every point of the arrays, with
+    h = Log z / (2 pi i) mod 1 (DLMF 25.12.13).
+
+    `upper` marks arg z in [0, pi], or the upper side of the cut; there
+    h = Log z / (2 pi i), elsewhere h = 1 + Log z / (2 pi i).  Whichever
+    shift is small is formed from Log z without a cancelling addition,
+    so z next to 1 keeps its digits.  Returns (values, err_estimates).
+    """
+    s = 1.0 - a.alpha
+    q = (log_z.imag - 1j * log_z.real) / TWO_PI
+    n = len(q)
+    zeta, remainder, floor = hurwitz_zeta(
+        s, np.concatenate((np.where(upper, q, q + 1.0), np.where(upper, 1.0 - q, -q)))
+    )
+    rotate = cmath.exp(0.5j * math.pi * s)  # i^(1-alpha)
+    prefactor = gamma(s) * cmath.exp(-s * _LOG_TWO_PI)
+    c_up, c_down = prefactor * rotate, prefactor / rotate
+    t_up, t_down = c_up * zeta[:n], c_down * zeta[n:]
+    value = t_up + t_down
+    # the coefficients are exponentials at exponents of size
+    # |s| (pi/2 + log 2 pi); Gamma's own error scales the whole value
+    err = (
+        abs(c_up) * (remainder[:n] + floor[:n])
+        + abs(c_down) * (remainder[n:] + floor[n:])
+        + _EPS * (8.0 + abs(s) * (0.5 * math.pi + _LOG_TWO_PI)) * (np.abs(t_up) + np.abs(t_down))
+        + gamma_error(s, a.integer_distance) * np.abs(value)
+    )
+    return value, err
+
+
+def _jonquiere_reach(a: Order, cfg: ToleranceConfig) -> float:
+    """Largest |Log z| at which eval_auto takes Jonquiere's relation at
+    order a (-inf: nowhere), from an a-priori estimate of the rounding
+    floor that does not scale with the answer.
+
+    The n = 0 Hurwitz term carries the branch term C_alpha (Log z)^(alpha-1),
+    so its floor is a fixed fraction of the value, as in every backend.
+    The rest cancels: the tail reaches W^(Re alpha) / |alpha| (the pole of
+    zeta at s = 1 - alpha = 1) and for Re alpha > 0 the terms n >= 1 reach
+    W^(Re alpha), with W = N + 1 + |Log z| / 2 pi, all times the prefactor
+    |Gamma(1-alpha)| (2 pi)^(Re alpha - 1) e^(pi |Im alpha| / 2), while the
+    result does not grow with them.  Their ulp floor, eps (8 + |s| (1 +
+    log W)) times that mass, must stay within target_abs_err.
+    """
+    alpha = a.alpha
+    if a.is_integer() or alpha.real >= _JONQUIERE_MAX_RE:
+        return -math.inf
+    s = 1.0 - alpha
+    if alpha.real > 1.0:
+        # a lower bound on the estimate below, at W = 5 <= N + 1 and without
+        # Gamma: |Gamma(1-alpha)| >= pi e^(-pi |Im alpha|) / Gamma(Re alpha)
+        lower = (
+            math.log(math.pi * _EPS * (8.0 + abs(s) * (1.0 + _LOG_5)) * (1.0 / abs(alpha) + 1.0))
+            + (alpha.real - 1.0) * _LOG_TWO_PI
+            - 0.5 * math.pi * abs(alpha.imag)
+            - math.lgamma(alpha.real)
+            + alpha.real * _LOG_5
+        )
+        if lower > math.log(cfg.target_abs_err):
+            return -math.inf
+    n_direct = _hurwitz_cutoff(s)[0]
+    try:
+        log_prefactor = math.log(abs(gamma(s))) - s.real * _LOG_TWO_PI
+    except DomainError:
+        return -math.inf
+    growth = alpha.real
+    budget = (
+        math.log(cfg.target_abs_err / _EPS)
+        - log_prefactor
+        - 0.5 * math.pi * abs(alpha.imag)
+        - math.log(1.0 / abs(alpha) + (1.0 if growth > 0.0 else 0.0))
+    )
+    # largest W with g(log W) = growth * log W + log(8 + |s| (1 + log W))
+    # <= budget; for Re alpha <= 0, g falls with W, so W = N + 1 decides
+    log_w = math.log(n_direct + 1.0)
+    excess = growth * log_w + math.log(8.0 + abs(s) * (1.0 + log_w)) - budget
+    if excess > 0.0:
+        return -math.inf
+    if growth <= 0.0:
+        return math.inf
+    # g is increasing and concave, so Newton steps from a point where
+    # g <= budget rise towards the root without ever passing it
+    for _ in range(8):
+        slope = growth + abs(s) / (8.0 + abs(s) * (1.0 + log_w))
+        log_w = min(log_w - excess / slope, 700.0)
+        excess = growth * log_w + math.log(8.0 + abs(s) * (1.0 + log_w)) - budget
+    return TWO_PI * (math.exp(log_w) - n_direct - 1.0)
+
+
+def eval_jonquiere(
+    a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG, side: str | None = None
+) -> EvalResult:
+    """Li_alpha(z) from two Hurwitz zeta values (Jonquiere's relation).
+
+    Any non-integer alpha with Re alpha < 28 and z off the cut; no
+    quadrature.  With `side` ("above" or "below"), z must be a real
+    x > 1 and the result is the exact side limit of Li_alpha on the cut.
+    The Hurwitz terms cancel for large Re alpha, next to positive
+    integer orders and next to alpha = 0; the error estimate carries
+    that loss, and eval_auto only routes here where it is small.
+    """
+    if a.is_integer():
+        raise DomainError(
+            f"Jonquiere's relation needs non-integer order, got alpha = {a.alpha}",
+            pole=a.nearest_integer,
+        )
+    z = complex(z)
+    _check_branch_points(z)
+    if side is None:
+        if _near_cut(z):
+            raise DomainError(ON_CUT_MESSAGE)
+        log_z, upper = principal_log(z), z.imag >= 0.0
+    else:
+        side_key = side.strip().lower()
+        if side_key not in ("above", "below"):
+            raise ValueError(f"side must be 'above' or 'below', got {side!r}")
+        if z.imag != 0.0 or not z.real > 1.0:
+            raise DomainError(f"a side limit needs real z > 1, got z = {z}")
+        log_z, upper = complex(math.log(z.real), 0.0), side_key == "above"
+    value, err = _jonquiere(a, np.array([log_z]), np.array([upper]))
+    return _jonquiere_result(value[0], err[0])
+
+
+def _jonquiere_result(value: complex, err: float) -> EvalResult:
+    value, err = complex(value), float(err)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise DomainError("Li_alpha(z) overflows double precision here")
+    return EvalResult(value=value, err_estimate=err, method="Jonquiere")
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +704,14 @@ def _li_order_zero(z: complex) -> EvalResult:
     return EvalResult(value=value, err_estimate=err, method="NegIntClosed")
 
 
+def _li_order_one(z: complex) -> EvalResult:
+    """Li_1(z) = -Log(1 - z); the principal log puts the cut on [1, inf).
+    1 - z and the log each round to within an ulp of the result."""
+    value = -principal_log(1.0 - z)
+    err = 4.0 * _EPS * (1.0 + abs(value))
+    return EvalResult(value=value, err_estimate=err, method="LogClosed")
+
+
 # ---------------------------------------------------------------------------
 # asymptotic leading term
 
@@ -570,19 +747,26 @@ def _zeta_series_feasible(a: Order, w: complex, cfg: ToleranceConfig) -> bool:
     return abs(a.alpha) + needed + 2.0 <= ZETA_MAX_ABS
 
 
-ON_CUT_MESSAGE = "on branch cut [1,inf); use jump or --side"
+def _zeta_first(a: Order, log_z: complex, cfg: ToleranceConfig) -> bool:
+    return (
+        a.alpha.real < 0.0
+        and log_z.real < 0.0
+        and abs(log_z) < 5.0
+        and _zeta_series_feasible(a, log_z, cfg)
+    )
 
 
 def eval_auto(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> EvalResult:
     """Pick a backend: closed form at nonpositive integer alpha, series in
-    the half disk, zeta expansion near z = 1 on the left, otherwise the
-    contour (non-integer alpha) or the real-axis integral (Re alpha > 0).
+    the half disk, the logarithm at alpha = 1, zeta expansion near z = 1
+    on the left, Jonquiere's relation where its a-priori rounding floor
+    meets target_abs_err, otherwise the contour (non-integer alpha) or the
+    real-axis integral (positive integer alpha inside the unit disk).
     """
     z = complex(z)
     _check_branch_points(z)
     if _near_cut(z):
         raise DomainError(ON_CUT_MESSAGE)
-    alpha = a.alpha
 
     if a.is_integer() and a.nearest_integer <= 0:
         m = -a.nearest_integer
@@ -591,38 +775,81 @@ def eval_auto(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Ev
     if abs(z) <= 0.5:
         return eval_series(a, z, cfg)
 
-    if alpha.real < 0.0:
-        log_z = principal_log(z)
-        if log_z.real < 0.0 and abs(log_z) < 5.0 and _zeta_series_feasible(a, log_z, cfg):
-            try:
-                return eval_zeta_series(a, log_z, cfg)
-            except (DomainError, ConvergenceError):
-                pass  # the pre-check is an estimate; the contour always applies here
-
-    if not a.is_integer():
-        return eval_hankel(a, z, cfg)
-
-    if alpha.real > 0.0:
+    if a.is_integer():
+        if a.nearest_integer == 1:
+            return _li_order_one(z)
         if abs(z) >= 1.0:
-            raise UnsupportedError(
-                "positive integer order outside the unit disk is not supported"
-            )
+            raise UnsupportedError("integer order >= 2 outside the unit disk is not supported")
         return eval_appell(a, z, cfg)
 
-    raise UnsupportedError(f"no backend applies to alpha = {alpha}, z = {z}")
+    log_z = principal_log(z)
+    if _zeta_first(a, log_z, cfg):
+        try:
+            return eval_zeta_series(a, log_z, cfg)
+        except (DomainError, ConvergenceError):
+            pass  # the pre-check is an estimate; the backends below always apply
+    if abs(log_z) <= _jonquiere_reach(a, cfg):
+        return eval_jonquiere(a, z, cfg)
+    return eval_hankel(a, z, cfg)
+
+
+def eval_auto_many(
+    a: Order, zs, cfg: ToleranceConfig = DEFAULT_CONFIG
+) -> list[EvalResult | FracpolylogError]:
+    """eval_auto at every z in zs, in order: each entry is the EvalResult
+    eval_auto returns there, bitwise, or the FracpolylogError it raises.
+
+    The points whose first choice is Jonquiere's relation share one
+    Hurwitz kernel call; every other point goes through eval_auto itself.
+    """
+    reach = _jonquiere_reach(a, cfg)
+    out: list[EvalResult | FracpolylogError | None] = []
+    picked: list[int] = []
+    log_zs: list[complex] = []
+    uppers: list[bool] = []
+    for z in zs:
+        z = complex(z)
+        if (
+            reach >= 0.0
+            and abs(z) > 0.5
+            and math.isfinite(abs(z))
+            and abs(z - 1.0) > EPS_CUT
+            and not _near_cut(z)
+        ):
+            log_z = principal_log(z)
+            if abs(log_z) <= reach and not _zeta_first(a, log_z, cfg):
+                picked.append(len(out))
+                log_zs.append(log_z)
+                uppers.append(z.imag >= 0.0)
+                out.append(None)
+                continue
+        try:
+            out.append(eval_auto(a, z, cfg))
+        except FracpolylogError as exc:
+            out.append(exc)
+    if picked:
+        values, errs = _jonquiere(a, np.array(log_zs), np.array(uppers))
+        for i, value, err in zip(picked, values, errs):
+            try:
+                out[i] = _jonquiere_result(value, err)
+            except FracpolylogError as exc:
+                out[i] = exc
+    return out
 
 
 def eval_on_cut(
     a: Order, x: float, side: str, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> EvalResult:
-    """Side limit of Li_alpha on the cut (1, inf) by Richardson extrapolation.
+    """Side limit of Li_alpha on the cut (1, inf), `side` "above" or "below".
 
-    Evaluates at x + i*delta and x + 2i*delta (delta signed by `side`,
-    "above" or "below") and returns 2 F(delta) - F(2 delta), cancelling
-    the leading linear dependence on delta.  Non-integer alpha goes
-    through the contour backend; positive integer alpha through the
-    real-axis integral; nonpositive integer alpha is rational and has no
-    jump, so the closed form is returned directly.
+    Where eval_auto's gate admits Jonquiere's relation at |Log z| = log x,
+    the limit is exact (delta = 0).  Otherwise it is a Richardson
+    extrapolation: evaluate at x + i*delta and x + 2i*delta (delta signed
+    by `side`) and return 2 F(delta) - F(2 delta), cancelling the leading
+    linear dependence on delta, through the contour backend (non-integer
+    alpha) or the real-axis integral (positive integer alpha).
+    Nonpositive integer alpha is rational and has no jump, so the closed
+    form is returned directly.
     """
     x = float(x)
     side_key = side.strip().lower()
@@ -637,6 +864,8 @@ def eval_on_cut(
             m = -a.nearest_integer
             return _li_order_zero(complex(x)) if m == 0 else eval_negint_closed(m, complex(x))
         backend = eval_appell
+    elif math.log(x) <= _jonquiere_reach(a, cfg):
+        return eval_jonquiere(a, complex(x), cfg, side=side_key)
     else:
         backend = eval_hankel
 
@@ -655,7 +884,9 @@ __all__ = [
     "asymptotic_leading",
     "eval_appell",
     "eval_auto",
+    "eval_auto_many",
     "eval_hankel",
+    "eval_jonquiere",
     "eval_mittag_leffler",
     "eval_negint_closed",
     "eval_on_cut",

@@ -25,6 +25,7 @@ from fracpolylog import (
     eval_appell,
     eval_auto,
     eval_hankel,
+    eval_jonquiere,
     eval_mittag_leffler,
     eval_negint_closed,
     eval_on_cut,
@@ -206,6 +207,7 @@ def test_criterion_10_real_orders_give_real_values_on_the_real_interval():
             results = [
                 eval_series(a, z),
                 eval_hankel(a, z),
+                eval_jonquiere(a, z),
             ]
             if alpha > 0:
                 results.append(eval_appell(a, z))

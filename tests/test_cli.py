@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from fracpolylog.cli import ENV_CONFIG, main, parse_complex, parse_grid
+from fracpolylog import FracpolylogError, Order, eval_auto
+from fracpolylog.cli import ENV_CONFIG, _skip_reason, main, parse_complex, parse_grid
 
 
 def run(capsys, *argv):
@@ -82,6 +83,11 @@ class TestEvalCommand:
         code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--z", "0.25", "--method", "hankel")
         assert code == 0
         assert json.loads(out)["method"] == "Hankel"
+
+    def test_jonquiere_method(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha", "6.5", "--z=-3", "--method", "jonquiere")
+        assert code == 0
+        assert json.loads(out)["method"] == "Jonquiere"
 
     def test_zeta_method_takes_z_and_logs_it(self, capsys):
         code, out, _ = run(capsys, "eval", "--alpha", "-0.5", "--z", "0.5", "--method", "zeta")
@@ -248,6 +254,27 @@ class TestTableCommand:
                 assert abs(z_re) < 1e-12 and row[5] == "AtBranchPoint"
             elif 0.0 < z_re < 1.0:
                 assert abs(float(row[3])) < 1e-10, f"Im at z={z_re} is {row[3]}"
+
+
+    @pytest.mark.parametrize("alpha", ["0.5", "2.8", "6.5", "-0.5", "1", "0.3+0.7i"])
+    @pytest.mark.parametrize("grid", [("-40:40:9", "-30:30:5"), ("-1:2:7", "-0.5:0.5:3")])
+    def test_rows_are_bitwise_eval_auto(self, capsys, alpha, grid):
+        # 2.8 is admitted to Jonquiere's relation for |Log z| <= 3.2 only and
+        # 6.5 nowhere, so the grids mix batched rows, per-point rows and skips
+        code, out, _ = run(capsys, "table", f"--alpha={alpha}", f"--z-re={grid[0]}", f"--z-im={grid[1]}")
+        assert code == 0
+        a = Order.of(parse_complex(alpha))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == int(grid[0].rsplit(":", 1)[1]) * int(grid[1].rsplit(":", 1)[1])
+        for row in rows:
+            z = complex(float(row[0]), float(row[1]))
+            try:
+                want = eval_auto(a, z)
+            except FracpolylogError as exc:
+                assert row[2:5] == ["", "", ""] and row[5] == _skip_reason(exc)
+                continue
+            got = (complex(float(row[2]), float(row[3])), float(row[4]), row[5])
+            assert got == (want.value, want.err_estimate, want.method), row
 
 
 class TestSelfcheckCommand:

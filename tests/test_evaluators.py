@@ -23,7 +23,15 @@ from fracpolylog import (
 )
 from fracpolylog.evaluators import ON_CUT_MESSAGE
 
-from .oracles import Z_EXP_M1, Z_EXP_MHALF, Z_HEX, frozen_complex, frozen_real
+from .oracles import (
+    SERIES_FLOOR_ALPHA,
+    SERIES_FLOOR_Z,
+    Z_EXP_M1,
+    Z_EXP_MHALF,
+    Z_HEX,
+    frozen_complex,
+    frozen_real,
+)
 
 LN2 = math.log(2.0)
 CFG = DEFAULT_CONFIG
@@ -84,6 +92,15 @@ class TestSeries:
     def test_error_estimate_is_honest_near_the_rim(self):
         r = eval_series(Order.of(0.5), 0.9, CFG)
         assert abs(r.value - frozen_real("li_half_0p9")) <= r.err_estimate
+
+    def test_rounding_floor_covers_large_exponents(self):
+        # |n log z - alpha log n| reaches ~100 here; a floor of 8 ulp of the
+        # term mass once claimed 92 against a true error of 104
+        a = Order.of(SERIES_FLOOR_ALPHA)
+        want = frozen_complex("li_series_floor")
+        for res in (eval_series(a, SERIES_FLOOR_Z), eval_auto(a, SERIES_FLOOR_Z)):
+            assert res.method == "Series"
+            assert abs(res.value - want) <= res.err_estimate
 
     def test_tiny_budget_raises_with_achieved(self):
         tight = ToleranceConfig(target_abs_err=1e-10, max_series_terms=5)
@@ -331,8 +348,23 @@ class TestDispatch:
         assert r.method == "ZetaSeries"
 
     def test_contour_handles_the_rest(self):
-        assert eval_auto(Order.of(0.5), -3.0).method == "Hankel"
-        assert eval_auto(Order.of(0.5), 0.7 + 0.7j).method == "Hankel"
+        # an order whose Hurwitz terms cancel too much for the Jonquiere gate
+        assert eval_auto(Order.of(6.5), -3.0).method == "Hankel"
+        assert eval_auto(Order.of(6.5), 0.7 + 0.7j).method == "Hankel"
+
+    def test_jonquiere_takes_admitted_orders(self):
+        assert eval_auto(Order.of(0.5), -3.0).method == "Jonquiere"
+        assert eval_auto(Order.of(0.5), 0.7 + 0.7j).method == "Jonquiere"
+
+    def test_order_one_is_the_logarithm_off_the_cut(self):
+        from mpmath import log, mp, mpc
+
+        for z in (-3.0, 0.7 + 0.7j, 0.9, 1e6j, -1e6 + 1.0j, 2.0 + 1e-3j, 2.0 - 1e-3j, 1.0 + 1e-8j):
+            r = eval_auto(Order.of(1.0), z)
+            assert r.method == "LogClosed"
+            with mp.workdps(30):
+                want = complex(-log(1 - mpc(z.real, z.imag)))
+            assert abs(r.value - want) <= r.err_estimate, z
 
     def test_positive_integer_order_inside_disk_uses_integral(self):
         assert eval_auto(Order.of(2.0), 0.9).method == "Appell"

@@ -2,9 +2,20 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
-from fracpolylog import DomainError, Order, c_alpha, gamma, principal_log, principal_pow, riemann_zeta
+from fracpolylog import (
+    DomainError,
+    Order,
+    c_alpha,
+    gamma,
+    hurwitz_zeta,
+    principal_log,
+    principal_pow,
+    riemann_zeta,
+)
+from fracpolylog.kernel import rounding_floor
 
 from .oracles import frozen_real
 
@@ -144,3 +155,54 @@ class TestCAlpha:
         with pytest.raises(DomainError) as exc:
             c_alpha(Order.of(2.0))
         assert exc.value.pole == 2
+
+
+class TestHurwitzZeta:
+    CATALAN = 0.915965594177219015054603514932
+
+    def check(self, s, shift, want):
+        value, remainder, floor = hurwitz_zeta(s, np.array([shift]))
+        assert abs(value[0] - want) <= remainder[0] + floor[0], (s, shift)
+
+    def test_unit_shift_is_riemann_zeta(self):
+        self.check(1.5, 1.0, frozen_real("zeta_3_2"))
+        self.check(2.5, 1.0, frozen_real("zeta_5_2"))
+
+    def test_half_shift_and_quarter_shift(self):
+        # zeta(s, 1/2) = (2^s - 1) zeta(s); zeta(2, 1/4) = pi^2 + 8 G
+        self.check(1.5, 0.5, (2.0 ** 1.5 - 1.0) * frozen_real("zeta_3_2"))
+        self.check(2.0, 0.25, math.pi ** 2 + 8.0 * self.CATALAN)
+
+    def test_shift_recurrence_off_the_real_axis(self):
+        # zeta(s, a) - zeta(s, a + 1) = a^(-s), left of the abscissa too
+        for s in (0.5 + 3j, -2.5 + 1j, 12.0 - 4j):
+            a = np.array([0.3 + 0.8j, 0.05 - 2.0j])
+            value, rem, floor = hurwitz_zeta(s, a)
+            shifted, rem1, floor1 = hurwitz_zeta(s, a + 1.0)
+            for k in range(2):
+                lhs = value[k] - shifted[k]
+                rhs = cmath.exp(-s * cmath.log(a[k]))
+                assert abs(lhs - rhs) <= rem[k] + floor[k] + rem1[k] + floor1[k] + 4e-16 * abs(rhs)
+
+    def test_one_shift_is_bitwise_a_row_entry(self):
+        rng = random.Random(3)
+        row = np.array([complex(rng.random(), rng.uniform(-3.0, 3.0)) for _ in range(37)])
+        for s in (0.7 - 0.7j, -3.2, 21.0 + 2.0j):
+            batch = hurwitz_zeta(s, row)
+            for k in (0, 17, 36):
+                single = hurwitz_zeta(s, row[k : k + 1])
+                for got, want in zip(single, batch):
+                    assert got[0] == want[k]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(1.0, np.array([0.5]))
+        with pytest.raises(DomainError):
+            hurwitz_zeta(-29.5, np.array([0.5]))
+
+
+class TestRoundingFloor:
+    def test_scales_with_the_exponent(self):
+        terms = np.array([[1.0, 2.0]])
+        assert rounding_floor(terms, np.zeros((1, 2)))[0] == pytest.approx(24.0 * 2.0 ** -52)
+        assert rounding_floor(terms, np.array([[100.0, 0.0]]))[0] == pytest.approx(124.0 * 2.0 ** -52)
