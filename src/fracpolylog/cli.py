@@ -16,7 +16,7 @@ import argparse
 import cmath
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .domain import CoverPoint, format_word, parse_word, reduce_word, m_alpha_k
 from .errors import ConvergenceError, DomainError, FracpolylogError, UnsupportedError
@@ -33,7 +33,7 @@ from .evaluators import (
     eval_series,
     eval_zeta_series,
 )
-from .kernel import TWO_PI, Order, principal_log
+from .kernel import TWO_PI, Order
 from .monodromy import eval_cover, transport
 from .validation import reports_to_jsonl, run_selfcheck, summarize
 
@@ -121,8 +121,8 @@ class CliConfig:
         return self.output_format or default
 
 
-_TOL_FIELDS = {f.name: f.type for f in fields(ToleranceConfig)}
-_INT_FIELDS = {"max_series_terms", "quad_max_depth", "ml_direct_terms"}
+# each tolerance field with the type its default gives it (int or float)
+_TOL_FIELDS = {f.name: type(f.default) for f in fields(ToleranceConfig)}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -155,7 +155,7 @@ def load_config(args: argparse.Namespace) -> CliConfig:
                 output_format = text
             elif key in _TOL_FIELDS:
                 try:
-                    values[key] = int(text) if key in _INT_FIELDS else float(text)
+                    values[key] = _TOL_FIELDS[key](text)
                 except ValueError:
                     raise UsageError(f"bad value for {key}: {text!r}") from None
             else:
@@ -229,16 +229,16 @@ def _emit_record(record: dict, cfg: CliConfig) -> None:
 
 
 _METHOD_MAP = {
-    "auto": None,
+    "auto": eval_auto,
     "series": eval_series,
     "appell": eval_appell,
     "hankel": eval_hankel,
     "jonquiere": eval_jonquiere,
     "ml": eval_mittag_leffler,
     "mittagleffler": eval_mittag_leffler,
-    "zeta": "zeta",
-    "zetaseries": "zeta",
-    "negint": "negint",
+    "zeta": eval_zeta_series,
+    "zetaseries": eval_zeta_series,
+    "negint": eval_negint_closed,
 }
 
 
@@ -252,17 +252,7 @@ def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
             raise UsageError("--side applies to real z on the cut (1, inf)")
         result = eval_on_cut(a, z.real, args.side, tol)
     else:
-        method = _METHOD_MAP[args.method]
-        if method is None:
-            result = eval_auto(a, z, tol)
-        elif method == "zeta":
-            result = eval_zeta_series(a, principal_log(z), tol)
-        elif method == "negint":
-            if not (a.is_integer() and a.nearest_integer <= -1):
-                raise DomainError("--method negint needs a negative integer alpha")
-            result = eval_negint_closed(-a.nearest_integer, z)
-        else:
-            result = method(a, z, tol)
+        result = _METHOD_MAP[args.method](a, z, tol)
 
     _emit_record(
         {
@@ -406,13 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
     shared.add_argument("--config", help="key=value config file (or set $" + ENV_CONFIG + ")")
     shared.add_argument("--format", choices=("json", "csv", "plain"), help="output format")
-    shared.add_argument("--target-abs-err", dest="target_abs_err", type=float)
-    shared.add_argument("--max-series-terms", dest="max_series_terms", type=int)
-    shared.add_argument("--quad-max-depth", dest="quad_max_depth", type=int)
-    shared.add_argument("--hankel-angle", dest="hankel_angle", type=float)
-    shared.add_argument("--hankel-radius-cap", dest="hankel_radius_cap", type=float)
-    shared.add_argument("--ml-direct-terms", dest="ml_direct_terms", type=int)
-    shared.add_argument("--cut-offset", dest="cut_offset", type=float)
+    for name, kind in _TOL_FIELDS.items():
+        shared.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
     parser = _Parser(prog="fracpolylog", description="Fractional polylogarithm toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

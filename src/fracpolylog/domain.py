@@ -128,17 +128,11 @@ def reduce_word(w: PathWord) -> PathWord:
     out: list[tuple[str, int]] = []
     for gen, exp in w.letters:
         if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged != 0:
-                out.append((gen, merged))
-        else:
+            # a cancelled run exposes the letter below it to the next merge
+            exp += out.pop()[1]
+        if exp:
             out.append((gen, exp))
-    reduced = PathWord(tuple(out))
-    # A merge can expose a new adjacent pair (e.g. c0 c1 c1^-1 c0).
-    if len(reduced.letters) < len(w.letters):
-        return reduce_word(reduced)
-    return reduced
+    return PathWord(tuple(out))
 
 
 @dataclass(frozen=True)

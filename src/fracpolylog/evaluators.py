@@ -10,32 +10,31 @@ Six representations, each with its own region of validity:
   every non-integer alpha and z off the cut.
 * `eval_mittag_leffler`: the bilateral sum of branch terms M_alpha[k],
   Re alpha < 0.
-* `eval_zeta_series`: the expansion of Li_alpha(e^w) in powers of w with
-  zeta-value coefficients, Re alpha < 0, Re w < 0, |w| < 2 pi.
+* `eval_zeta_series`: the expansion of Li_alpha(z) in powers of w = Log z
+  with zeta-value coefficients, Re alpha < 0, Re w < 0, |w| < 2 pi.
 * `eval_jonquiere`: the same bilateral sum split at k = 0 and continued in
   alpha, i.e. two Hurwitz zeta values (Jonquiere's relation); any
   non-integer alpha with Re alpha < 28, z off the cut or a side limit on
   it, no quadrature.
 
-plus the closed forms at nonpositive integer order and at alpha = 1.
-Every backend returns an `EvalResult` whose err_estimate bounds the
-error of the returned value; estimates are computed from a priori tail
-bounds, rounding floors and measured quadrature differences, never tuned
-to match a comparison value.
+plus the closed forms at nonpositive integer order (`eval_negint_closed`)
+and at alpha = 1.  Every backend takes (a, z, cfg) and returns an
+`EvalResult` whose err_estimate bounds the error of the returned value;
+estimates are computed from a priori tail bounds, rounding floors and
+measured quadrature differences, never tuned to match a comparison value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .domain import EPS_CUT, EvalResult, log_pos_cut
 from .errors import ConvergenceError, DomainError, FracpolylogError, UnsupportedError
 from .kernel import (
-    EPS_INT,
     TWO_PI,
     Order,
     _hurwitz_cutoff,
@@ -71,17 +70,9 @@ class ToleranceConfig:
     cut_offset: float = 1e-7
 
     def __post_init__(self) -> None:
-        for name in (
-            "target_abs_err",
-            "max_series_terms",
-            "quad_max_depth",
-            "hankel_angle",
-            "hankel_radius_cap",
-            "ml_direct_terms",
-            "cut_offset",
-        ):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if not (getattr(self, f.name) > 0):
+                raise ValueError(f"{f.name} must be positive")
         if not (self.hankel_angle < 0.5 * math.pi):
             raise ValueError("hankel_angle must lie in (0, pi/2)")
 
@@ -432,20 +423,19 @@ def eval_mittag_leffler(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CON
 # zeta-coefficient expansion at z = e^w
 
 
-def eval_zeta_series(a: Order, w: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Li_alpha(e^w) = C_alpha w^(alpha-1) + sum_n zeta(alpha - n) w^n / n!.
+def eval_zeta_series(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> EvalResult:
+    """Li_alpha(z) = C_alpha w^(alpha-1) + sum_n zeta(alpha - n) w^n / n!
+    with w = Log z.
 
     Guaranteed domain: Re alpha < 0 with non-integer alpha, Re w < 0,
     0 < |w| < 2 pi.  The coefficient zeta values must stay inside the
     kernel's admissible range, which caps how many terms are available.
 
-    The singular term is the k = 0 branch term with log z = w, so its
-    power carries the [0, 2*pi) argument convention.  The principal
-    branch would put a cut on the negative real w axis, right through
-    the middle of the expansion's domain, while Li_alpha(e^w) itself is
-    analytic there.
+    The singular term is the k = 0 branch term, so its power carries the
+    [0, 2*pi) argument convention.  The principal branch would put a cut
+    on the negative real w axis, right through the middle of the
+    expansion's domain, while Li_alpha(e^w) itself is analytic there.
     """
-    w = complex(w)
     alpha = a.alpha
     if a.is_integer():
         raise DomainError(
@@ -454,8 +444,7 @@ def eval_zeta_series(a: Order, w: complex, cfg: ToleranceConfig = DEFAULT_CONFIG
         )
     if alpha.real >= 0.0:
         raise DomainError(f"expansion requires Re(alpha) < 0, got {alpha}")
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError("w must be finite")
+    w = principal_log(z)
     if w.real >= 0.0:
         raise DomainError(f"expansion requires Re(w) < 0, got w = {w}")
     if abs(w) >= TWO_PI:
@@ -678,11 +667,13 @@ def _eulerian_numerator(m: int) -> list[int]:
     return coeffs
 
 
-def eval_negint_closed(m: int, z: complex) -> EvalResult:
-    """Li_{-m}(z) for integer m >= 1 as the exact rational function
-    P_m(z)/(1-z)^(m+1), with integer numerator coefficients."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"need a positive integer order drop, got m = {m!r}")
+def eval_negint_closed(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> EvalResult:
+    """Li_{-m}(z) at the order alpha = -m, integer m >= 0, as the exact
+    rational function P_m(z)/(1-z)^(m+1), with integer numerator
+    coefficients (P_0 = z).  cfg is not used: the form is exact."""
+    if not (a.is_integer() and a.nearest_integer <= 0):
+        raise DomainError(f"closed form needs a nonpositive integer order, got alpha = {a.alpha}")
+    m = -a.nearest_integer
     z = complex(z)
     if abs(z - 1.0) <= EPS_CUT:
         raise DomainError("rational closed form has a pole at z = 1")
@@ -692,15 +683,14 @@ def eval_negint_closed(m: int, z: complex) -> EvalResult:
     for c in reversed(coeffs):
         num = num * z + c
         mass = mass * abs(z) + abs(c)
-    denom = (1.0 - z) ** (m + 1)
-    value = num / denom
-    err = (4.0 * m + 16.0) * _EPS * (mass / abs(denom) + abs(value))
-    return EvalResult(value=value, err_estimate=err, method="NegIntClosed")
-
-
-def _li_order_zero(z: complex) -> EvalResult:
-    value = z / (1.0 - z)
-    err = 8.0 * _EPS * (abs(value) + abs(z) / abs(1.0 - z))
+    try:
+        denom = (1.0 - z) ** (m + 1)
+        value = num / denom
+        err = (4.0 * m + 16.0) * _EPS * (mass / abs(denom) + abs(value))
+    except (OverflowError, ZeroDivisionError):
+        value = err = math.inf
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise DomainError("the rational closed form overflows double precision here")
     return EvalResult(value=value, err_estimate=err, method="NegIntClosed")
 
 
@@ -769,8 +759,7 @@ def eval_auto(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Ev
         raise DomainError(ON_CUT_MESSAGE)
 
     if a.is_integer() and a.nearest_integer <= 0:
-        m = -a.nearest_integer
-        return _li_order_zero(z) if m == 0 else eval_negint_closed(m, z)
+        return eval_negint_closed(a, z, cfg)
 
     if abs(z) <= 0.5:
         return eval_series(a, z, cfg)
@@ -785,7 +774,7 @@ def eval_auto(a: Order, z: complex, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Ev
     log_z = principal_log(z)
     if _zeta_first(a, log_z, cfg):
         try:
-            return eval_zeta_series(a, log_z, cfg)
+            return eval_zeta_series(a, z, cfg)
         except (DomainError, ConvergenceError):
             pass  # the pre-check is an estimate; the backends below always apply
     if abs(log_z) <= _jonquiere_reach(a, cfg):
@@ -861,8 +850,7 @@ def eval_on_cut(
 
     if a.is_integer():
         if a.nearest_integer <= 0:
-            m = -a.nearest_integer
-            return _li_order_zero(complex(x)) if m == 0 else eval_negint_closed(m, complex(x))
+            return eval_negint_closed(a, complex(x), cfg)
         backend = eval_appell
     elif math.log(x) <= _jonquiere_reach(a, cfg):
         return eval_jonquiere(a, complex(x), cfg, side=side_key)

@@ -64,10 +64,10 @@ class Order:
         return self.integer_distance < eps_int
 
 
-def require_noninteger(a: Order, eps_int: float = EPS_INT, what: str = "order") -> None:
-    if a.is_integer(eps_int):
+def require_noninteger(a: Order) -> None:
+    if a.is_integer():
         raise DomainError(
-            f"{what} {a.alpha} is within {eps_int:g} of the integer {a.nearest_integer}",
+            f"order {a.alpha} is within {EPS_INT:g} of the integer {a.nearest_integer}",
             pole=a.nearest_integer,
         )
 
@@ -125,14 +125,14 @@ def _lanczos_positive(s: complex) -> complex:
     return math.sqrt(TWO_PI) * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
 
 
-def gamma(s: complex, eps_int: float = EPS_INT) -> complex:
+def gamma(s: complex) -> complex:
     """Complex Gamma(s); poles at non-positive integers raise DomainError."""
     s = complex(s)
     if abs(s) > GAMMA_MAX_ABS:
         raise DomainError(f"gamma argument |s| > {GAMMA_MAX_ABS:g} is out of kernel range")
     if s.real < 0.5:
         n = round(s.real)
-        if n <= 0 and abs(s - n) < eps_int:
+        if n <= 0 and abs(s - n) < EPS_INT:
             raise DomainError(f"gamma pole at s = {n}", pole=int(n))
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
         return math.pi / (cmath.sin(math.pi * s) * _lanczos_positive(1.0 - s))
@@ -310,12 +310,12 @@ def hurwitz_zeta(s: complex, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return value, remainder, floor
 
 
-def riemann_zeta(s: complex, eps_int: float = EPS_INT) -> complex:
+def riemann_zeta(s: complex) -> complex:
     """zeta(s) for |s| <= 30, rejecting the pole at s = 1."""
     s = complex(s)
     if abs(s) > ZETA_MAX_ABS:
         raise DomainError(f"zeta argument |s| > {ZETA_MAX_ABS:g} is out of kernel range")
-    if abs(s - 1.0) < eps_int:
+    if abs(s - 1.0) < EPS_INT:
         raise DomainError("zeta pole at s = 1", pole=1)
     if s.real >= -0.25:
         # direct summation; reflecting here would evaluate zeta(1 - s)
@@ -326,18 +326,18 @@ def riemann_zeta(s: complex, eps_int: float = EPS_INT) -> complex:
         cmath.exp(s * math.log(2.0))
         * cmath.exp((s - 1.0) * math.log(math.pi))
         * cmath.sin(0.5 * math.pi * s)
-        * gamma(1.0 - s, eps_int)
+        * gamma(1.0 - s)
         * _zeta_euler_maclaurin(1.0 - s)
     )
 
 
-def c_alpha(a: Order | complex, eps_int: float = EPS_INT) -> complex:
+def c_alpha(a: Order | complex) -> complex:
     """The normalizing constant C_alpha = e^{i pi (-alpha - 1)} Gamma(1 - alpha).
 
     Satisfies 1 / ((1 - e^{2 pi i alpha}) Gamma(alpha)) = C_alpha / (2 pi i),
     which run_selfcheck exercises as the double-gamma residual.
     """
     a = Order.of(a)
-    require_noninteger(a, eps_int)
+    require_noninteger(a)
     al = a.alpha
-    return cmath.exp(1j * math.pi * (-al - 1.0)) * gamma(1.0 - al, eps_int)
+    return cmath.exp(1j * math.pi * (-al - 1.0)) * gamma(1.0 - al)

@@ -27,6 +27,7 @@ import cmath
 from dataclasses import dataclass, replace
 
 from .domain import (
+    GENERATORS,
     BranchVector,
     CoverPoint,
     EvalResult,
@@ -34,15 +35,24 @@ from .domain import (
     branch_value,
     reduce_word,
 )
-from .errors import DomainError
 from .evaluators import DEFAULT_CONFIG, ToleranceConfig, eval_auto
 from .kernel import TWO_PI, Order, require_noninteger
 
-GENERATOR_TAGS = ("c0", "c1", "c0inv", "c1inv")
+
+def _loop_factor(a: Order, n: int = 1) -> complex:
+    return cmath.exp(TWO_PI * 1j * a.alpha * n)
 
 
-def _loop_factor(a: Order) -> complex:
-    return cmath.exp(TWO_PI * 1j * a.alpha)
+def _loop(v: BranchVector, gen: str, n: int, a: Order) -> BranchVector:
+    """n turns of the loop gen (inverse turns for n < 0) acting on v, in
+    closed form: c0^n shifts k -> k + n, and c1^n sends (lambda, mu_0) to
+    (lambda, E^n mu_0 + (E^n - 1) lambda)."""
+    if gen == "c0":
+        return BranchVector(v.li_coeff, {k + n: c for k, c in v.m_coeffs.items()})
+    power = _loop_factor(a, n)
+    coeffs = dict(v.m_coeffs)
+    coeffs[0] = power * coeffs.get(0, 0.0 + 0.0j) + (power - 1.0) * v.li_coeff
+    return BranchVector(v.li_coeff, coeffs)
 
 
 def apply_generator(v: BranchVector, g: str, a: Order) -> BranchVector:
@@ -50,25 +60,10 @@ def apply_generator(v: BranchVector, g: str, a: Order) -> BranchVector:
     c0, c1, c0inv, c1inv."""
     a = Order.of(a)
     require_noninteger(a)
-    if g == "c0":
-        return BranchVector(v.li_coeff, {k + 1: c for k, c in v.m_coeffs.items()})
-    if g == "c0inv":
-        return BranchVector(v.li_coeff, {k - 1: c for k, c in v.m_coeffs.items()})
-    if g in ("c1", "c1inv"):
-        factor = _loop_factor(a)
-        lam = v.li_coeff
-        mu0 = v.m_coeffs.get(0, 0.0 + 0.0j)
-        coeffs = dict(v.m_coeffs)
-        if g == "c1":
-            new_mu0 = factor * mu0 + (factor - 1.0) * lam
-        else:
-            new_mu0 = (mu0 - (factor - 1.0) * lam) / factor
-        if new_mu0 != 0:
-            coeffs[0] = new_mu0
-        else:
-            coeffs.pop(0, None)
-        return BranchVector(lam, coeffs)
-    raise ValueError(f"unknown generator {g!r}; expected one of {GENERATOR_TAGS}")
+    gen = g.removesuffix("inv")
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {g!r}; expected c0, c1, c0inv or c1inv")
+    return _loop(v, gen, 1 if gen == g else -1, a)
 
 
 def transport(w: PathWord, a: Order) -> BranchVector:
@@ -82,13 +77,7 @@ def transport(w: PathWord, a: Order) -> BranchVector:
     require_noninteger(a)
     v = BranchVector()
     for gen, exp in reversed(reduce_word(w).letters):
-        if gen == "c0":
-            # a run of c0s is a single index shift
-            v = BranchVector(v.li_coeff, {k + exp: c for k, c in v.m_coeffs.items()})
-        else:
-            tag = "c1" if exp > 0 else "c1inv"
-            for _ in range(abs(exp)):
-                v = apply_generator(v, tag, a)
+        v = _loop(v, gen, exp, a)
     return v
 
 
@@ -173,7 +162,6 @@ def ml_equivariance_check(a: Order, truncation: int = 40) -> EquivarianceReport:
 
 
 __all__ = [
-    "GENERATOR_TAGS",
     "EquivarianceReport",
     "apply_generator",
     "eval_cover",

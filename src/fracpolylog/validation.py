@@ -94,7 +94,7 @@ def _applicable_backends(a: Order, z: complex, cfg: ToleranceConfig):
     alpha = a.alpha
     candidates: list[tuple[str, Callable[[], object]]] = []
     if a.is_integer() and a.nearest_integer <= -1:
-        candidates.append(("NegIntClosed", lambda: eval_negint_closed(-a.nearest_integer, z)))
+        candidates.append(("NegIntClosed", lambda: eval_negint_closed(a, z, cfg)))
     if abs(z) < 1.0:
         candidates.append(("Series", lambda: eval_series(a, z, cfg)))
     if alpha.real > 0.0:
@@ -105,7 +105,7 @@ def _applicable_backends(a: Order, z: complex, cfg: ToleranceConfig):
             candidates.append(("MittagLeffler", lambda: eval_mittag_leffler(a, z, cfg)))
             w = principal_log(z)
             if w.real < 0.0 and abs(w) < TWO_PI:
-                candidates.append(("ZetaSeries", lambda: eval_zeta_series(a, w, cfg)))
+                candidates.append(("ZetaSeries", lambda: eval_zeta_series(a, z, cfg)))
 
     for tag, thunk in candidates:
         try:

@@ -1,10 +1,19 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from fracpolylog import FracpolylogError, Order, eval_auto
-from fracpolylog.cli import ENV_CONFIG, _skip_reason, main, parse_complex, parse_grid
+from fracpolylog import FracpolylogError, Order, ToleranceConfig, eval_auto, eval_negint_closed
+from fracpolylog.cli import (
+    ENV_CONFIG,
+    _skip_reason,
+    build_parser,
+    load_config,
+    main,
+    parse_complex,
+    parse_grid,
+)
 
 
 def run(capsys, *argv):
@@ -95,6 +104,25 @@ class TestEvalCommand:
         rec = json.loads(out)
         assert rec["method"] == "ZetaSeries"
 
+    def test_negint_method_is_the_closed_form(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha=-2", "--z", "0.3+0.4i", "--method", "negint")
+        assert code == 0
+        rec = json.loads(out)
+        want = eval_negint_closed(Order.of(-2), 0.3 + 0.4j)
+        assert complex(rec["value"]["re"], rec["value"]["im"]) == want.value
+        assert rec["err_estimate"] == want.err_estimate
+
+    def test_negint_method_takes_order_zero(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha", "0", "--z", "0.25", "--method", "negint")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["value"]["re"] == 0.25 / 0.75 and rec["value"]["im"] == 0.0
+        assert rec["method"] == "NegIntClosed"
+
+    def test_negint_method_refuses_other_orders(self, capsys):
+        code, _, _ = run(capsys, "eval", "--alpha", "0.5", "--z", "0.25", "--method", "negint")
+        assert code == 2
+
     def test_bad_complex_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--alpha", "0.5", "--z", "abc")
         assert code == 1
@@ -162,6 +190,40 @@ class TestConfigPlumbing:
         code, _, _ = run(
             capsys, "eval", "--alpha", "0.5", "--z", "0.25", "--config", str(cfgfile)
         )
+        assert code == 1
+
+
+TOLERANCE_FIELDS = [f.name for f in fields(ToleranceConfig)]
+
+
+def _changed_value(name: str):
+    # a valid value other than the default, of the field's own type
+    default = getattr(ToleranceConfig(), name)
+    return default + 1 if isinstance(default, int) else default / 2.0
+
+
+class TestEveryToleranceField:
+    @pytest.mark.parametrize("name", TOLERANCE_FIELDS)
+    def test_accepted_as_flag(self, name):
+        value = _changed_value(name)
+        flag = "--" + name.replace("_", "-")
+        args = build_parser().parse_args(["eval", "--alpha=0.5", "--z=0.25", flag, repr(value)])
+        assert getattr(load_config(args).tolerances, name) == value
+
+    @pytest.mark.parametrize("name", TOLERANCE_FIELDS)
+    def test_accepted_as_config_key(self, name, tmp_path):
+        value = _changed_value(name)
+        cfgfile = tmp_path / "t.conf"
+        cfgfile.write_text(f"{name} = {value!r}\n")
+        args = build_parser().parse_args(["eval", "--alpha=0.5", "--z=0.25", "--config", str(cfgfile)])
+        assert getattr(load_config(args).tolerances, name) == value
+
+    def test_int_field_refuses_a_fraction_both_ways(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "eval", "--alpha=0.5", "--z=0.25", "--quad-max-depth", "1.5")
+        assert code == 1
+        cfgfile = tmp_path / "t.conf"
+        cfgfile.write_text("quad_max_depth = 1.5\n")
+        code, _, _ = run(capsys, "eval", "--alpha=0.5", "--z=0.25", "--config", str(cfgfile))
         assert code == 1
 
 

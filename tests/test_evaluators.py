@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from fracpolylog import (
     eval_series,
     eval_zeta_series,
     hankel_contour_integral,
+    principal_log,
 )
 from fracpolylog.evaluators import ON_CUT_MESSAGE
 
@@ -232,9 +234,9 @@ class TestMittagLeffler:
 
 class TestZetaSeries:
     def test_against_series_table(self):
-        r = eval_zeta_series(Order.of(-0.5), -1.0, CFG)
+        r = eval_zeta_series(Order.of(-0.5), Z_EXP_M1, CFG)
         assert_close_within(r, frozen_real("li_mhalf_e_m1"), slack=1e-12)
-        r = eval_zeta_series(Order.of(-1.5), -0.5, CFG)
+        r = eval_zeta_series(Order.of(-1.5), Z_EXP_MHALF, CFG)
         assert_close_within(r, frozen_real("li_m3half_e_mhalf"), slack=1e-12)
         assert r.method == "ZetaSeries"
 
@@ -243,7 +245,7 @@ class TestZetaSeries:
         # one would jump across the negative real w axis
         a = Order.of(-2.3)
         w = -1.2 - 0.8j
-        r = eval_zeta_series(a, w, CFG)
+        r = eval_zeta_series(a, cmath.exp(w), CFG)
         s = eval_series(a, cmath.exp(w), CFG)
         assert abs(r.value - s.value) <= r.err_estimate + s.err_estimate
 
@@ -253,8 +255,10 @@ class TestZetaSeries:
         a = Order.of(-0.5)
         rem = []
         for w in (-1e-3, -1e-4):
-            full = eval_zeta_series(a, w, CFG).value
-            sing = frozen_singular_term(a, w)
+            z = cmath.exp(w)
+            full = eval_zeta_series(a, z, CFG).value
+            # the singular term at the w the function forms from z
+            sing = frozen_singular_term(a, principal_log(z))
             zeta0 = frozen_zeta_at(a)
             rem.append(abs(full - sing - zeta0))
         ratio = rem[0] / rem[1]
@@ -262,14 +266,14 @@ class TestZetaSeries:
 
     def test_rejects_bad_domains(self):
         with pytest.raises(DomainError):
-            eval_zeta_series(Order.of(0.5), -1.0, CFG)  # Re alpha >= 0
+            eval_zeta_series(Order.of(0.5), Z_EXP_M1, CFG)  # Re alpha >= 0
         with pytest.raises(DomainError):
-            eval_zeta_series(Order.of(-0.5), 1.0, CFG)  # Re w >= 0
+            eval_zeta_series(Order.of(-0.5), math.e, CFG)  # Re w >= 0
         with pytest.raises(DomainError):
-            eval_zeta_series(Order.of(-0.5), -7.0, CFG)  # |w| >= 2 pi
+            eval_zeta_series(Order.of(-0.5), math.exp(-7.0), CFG)  # |w| >= 2 pi
 
 
-def frozen_singular_term(a: Order, w: float) -> complex:
+def frozen_singular_term(a: Order, w: complex) -> complex:
     from fracpolylog import c_alpha, log_pos_cut
 
     return c_alpha(a) * cmath.exp((a.alpha - 1.0) * log_pos_cut(complex(w)))
@@ -283,31 +287,48 @@ def frozen_zeta_at(a: Order) -> complex:
 
 class TestNegIntClosed:
     def test_worked_examples(self):
-        assert eval_negint_closed(1, 0.5).value == pytest.approx(2.0, abs=1e-14)
-        assert eval_negint_closed(2, 0.5).value == pytest.approx(6.0, abs=1e-14)
-        assert eval_negint_closed(1, -1.0).value == pytest.approx(-0.25, abs=1e-16)
+        assert eval_negint_closed(Order.of(-1), 0.5).value == pytest.approx(2.0, abs=1e-14)
+        assert eval_negint_closed(Order.of(-2), 0.5).value == pytest.approx(6.0, abs=1e-14)
+        assert eval_negint_closed(Order.of(-1), -1.0).value == pytest.approx(-0.25, abs=1e-16)
 
     def test_rational_forms_deeper(self):
         # z (1 + 4 z + z^2) / (1 - z)^4 at z = 0.9
         z = 0.9
         want = z * (1 + 4 * z + z * z) / (1 - z) ** 4
-        assert eval_negint_closed(3, z).value == pytest.approx(want, rel=1e-13)
+        assert eval_negint_closed(Order.of(-3), z).value == pytest.approx(want, rel=1e-13)
 
     def test_against_series_inside_disk(self):
         for m in (1, 2, 3, 4):
             for z in (0.5, -0.5, 0.3 + 0.4j):
-                closed = eval_negint_closed(m, z)
+                closed = eval_negint_closed(Order.of(-m), z)
                 series = eval_series(Order.of(float(-m)), z, CFG)
                 assert abs(closed.value - series.value) <= (
                     closed.err_estimate + series.err_estimate
                 )
 
     def test_method_tag_and_validation(self):
-        assert eval_negint_closed(1, 0.5).method == "NegIntClosed"
-        with pytest.raises(ValueError):
-            eval_negint_closed(0, 0.5)
+        assert eval_negint_closed(Order.of(-1), 0.5).method == "NegIntClosed"
         with pytest.raises(DomainError):
-            eval_negint_closed(2, 1.0)
+            eval_negint_closed(Order.of(0.5), 0.5)  # not a nonpositive integer
+        assert eval_negint_closed(Order.of(0), 0.5).value == 1.0  # z / (1 - z)
+        with pytest.raises(DomainError):
+            eval_negint_closed(Order.of(-2), 1.0)
+
+    def test_huge_z_gives_a_value_or_a_typed_error(self):
+        # (1 - z)^(m+1) overflows long before the value does; that must be
+        # a DomainError, never an OverflowError or a non-finite value
+        for z in (1e80 + 1j, 1e200 + 1j):
+            with pytest.raises(DomainError):
+                eval_negint_closed(Order.of(-3), z)
+        rng = random.Random(20)
+        for m in range(21):
+            for _ in range(40):
+                z = cmath.rect(10.0 ** rng.uniform(0.0, 300.0), rng.uniform(-math.pi, math.pi))
+                try:
+                    r = eval_negint_closed(Order.of(-m), z)
+                except DomainError:
+                    continue
+                assert cmath.isfinite(r.value) and math.isfinite(r.err_estimate)
 
 
 class TestAsymptoticLeading:
@@ -392,7 +413,7 @@ class TestDispatch:
         for fn in (eval_series, eval_hankel, eval_mittag_leffler):
             r = fn(a, Z_EXP_M1, CFG)
             assert_close_within(r, want, slack=1e-12)
-        r = eval_zeta_series(a, -1.0, CFG)
+        r = eval_zeta_series(a, Z_EXP_M1, CFG)
         assert_close_within(r, want, slack=1e-12)
 
 

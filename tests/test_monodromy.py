@@ -98,6 +98,20 @@ class TestTransport:
             for mu in v.m_coeffs.values():
                 assert abs(mu) < 1e-13
 
+    @pytest.mark.parametrize("alpha", [0.3 + 0.2j, -1.7, 2.5 - 0.4j, 9.5 + 0.5j])
+    def test_run_of_loops_around_one_is_repeated_generator(self, alpha):
+        # transport takes c1^n in closed form; n single steps must agree
+        a = Order.of(alpha)
+        for n in [k for k in range(-8, 9) if k]:
+            got = transport(parse_word(f"c1^{n}"), a)
+            want = BranchVector()
+            for _ in range(abs(n)):
+                want = apply_generator(want, "c1" if n > 0 else "c1inv", a)
+            assert got.li_coeff == want.li_coeff
+            assert set(got.m_coeffs) == set(want.m_coeffs) == {0}
+            mu = want.m_coeffs[0]
+            assert abs(got.m_coeffs[0] - mu) <= 1e-13 * max(1.0, abs(mu)), (alpha, n)
+
     def test_commutator_is_nontrivial(self):
         # the cover is genuinely non-abelian: [c0, c1] keeps branch terms
         v = transport(parse_word("c0 c1 c0^-1 c1^-1"), A_HALF)
